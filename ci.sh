@@ -15,19 +15,21 @@ cargo clippy --workspace --all-targets -- -D warnings -W clippy::perf
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
 
 echo "==> forced-scalar equivalence proptests (GANA_KERNEL=scalar)"
 # The workspace run above exercises whatever kernel the CPU dispatches to
 # (avx2/neon on capable hardware). Re-run the gana-core equivalence
-# proptests with the scalar fallback forced so both sides of the dispatch
-# are proven on every CI box, regardless of its CPU features.
+# proptests and the golden annotation digests with the scalar fallback
+# forced so both sides of the dispatch are proven on every CI box,
+# regardless of its CPU features.
 GANA_KERNEL=scalar cargo test -q -p gana-core \
     --test parallel_equivalence --test workspace_reuse --test batched_equivalence
+GANA_KERNEL=scalar cargo test -q --test annotation_golden
 
-echo "==> cargo test --doc"
-cargo test --doc -q
+echo "==> cargo test --workspace --doc"
+cargo test --workspace --doc -q
 
 echo "==> cargo doc (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

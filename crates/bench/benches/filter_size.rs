@@ -4,17 +4,21 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gana_bench::{model_with_filter, prepare_sample, small_circuit};
+use gana_gnn::GnnWorkspace;
+use gana_par::Parallelism;
 
 fn bench_filter_size(c: &mut Criterion) {
     let mut group = c.benchmark_group("gcn_forward_vs_filter_size");
     let circuit = small_circuit();
     let sample = prepare_sample(&circuit, 2);
+    let par = Parallelism::serial();
+    let mut ws = GnnWorkspace::new();
     for k in [2usize, 4, 8, 16, 32, 48] {
         let model = model_with_filter(k, 2);
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
             b.iter(|| {
                 model
-                    .predict(std::hint::black_box(&sample))
+                    .predict_into(&par, &[std::hint::black_box(&sample)], &mut ws)
                     .expect("predicts")
             });
         });

@@ -512,8 +512,9 @@ fn timing_suite() {
 
     // Micro-batched GNN inference: per-request cost of the fused
     // block-diagonal forward at batch sizes 1, 4, 8 on the same prepared
-    // phased-array sample. b1 goes through the serial singleton path, so
-    // the b8-vs-b1 delta is exactly what cross-request batching saves.
+    // phased-array sample. b1 runs on the sample's own Laplacians (no
+    // block-diagonal fusion), so the b8-vs-b1 delta is exactly what
+    // cross-request batching saves.
     let batch_pipeline = rf_pipeline(4);
     let (_, _, pa_sample) = batch_pipeline.prepare(&pa.circuit).expect("prepares");
     let batches = [1usize, 4, 8];
@@ -556,49 +557,6 @@ fn timing_suite() {
         .zip(spmm_pair)
     {
         results.insert(name.to_string(), m);
-    }
-
-    // f64 vs int8 serving cost: the same cold and batched workloads as
-    // above through quantized pipelines, so the per-request ratio is
-    // tracked from day one.
-    let ota_q = ota_pipeline(4).with_quantized();
-    eprintln!("bench: cold_annotate_ota_quantized");
-    results.insert(
-        "cold_annotate_ota_quantized".to_string(),
-        measure(1, || {
-            ota_q.recognize(&ota.circuit).expect("runs");
-        }),
-    );
-    let rf_q = rf_pipeline(4).with_quantized();
-    eprintln!("bench: cold_annotate_rf_receiver_quantized");
-    results.insert(
-        "cold_annotate_rf_receiver_quantized".to_string(),
-        measure(1, || {
-            rf_q.recognize(&rx.circuit).expect("runs");
-        }),
-    );
-    eprintln!("bench: cold_annotate_phased_array_1t_quantized");
-    results.insert(
-        "cold_annotate_phased_array_1t_quantized".to_string(),
-        measure(1, || {
-            rf_q.recognize(&pa.circuit).expect("runs");
-        }),
-    );
-    let batch_q = rf_pipeline(4).with_quantized();
-    let (_, _, pa_sample_q) = batch_q.prepare(&pa.circuit).expect("prepares");
-    let batch_q_refs: Vec<Vec<&GraphSample>> = batches
-        .iter()
-        .map(|&b| (0..b).map(|_| &pa_sample_q).collect())
-        .collect();
-    eprintln!("bench: batched_annotate_phased_array_b{{1,4,8}}_quantized (interleaved)");
-    let measurements = measure_batched_interleaved(1, &batches, |slot| {
-        batch_q.predict_samples(&batch_q_refs[slot]).expect("runs");
-    });
-    for (batch, m) in batches.iter().zip(measurements) {
-        results.insert(
-            format!("batched_annotate_phased_array_b{batch}_quantized"),
-            m,
-        );
     }
 
     // End-to-end service throughput with batching on: one worker, bursts
@@ -970,31 +928,6 @@ fn timing_suite() {
             "spmm dispatch ({}) vs scalar: {:.2}x",
             gana_gnn::kernel::active().name(),
             scalar.median_ns as f64 / dispatch.median_ns.max(1) as f64
-        );
-    }
-
-    if let (Some(f64_cold), Some(int8_cold)) = (
-        results.get("cold_annotate_phased_array_1t"),
-        results.get("cold_annotate_phased_array_1t_quantized"),
-    ) {
-        eprintln!(
-            "int8 vs f64 cold phased-array annotate: {:.2}x",
-            f64_cold.median_ns as f64 / int8_cold.median_ns.max(1) as f64
-        );
-    }
-
-    if let (Some(f64_b1), Some(int8_b1)) = (
-        results.get("batched_annotate_phased_array_b1"),
-        results.get("batched_annotate_phased_array_b1_quantized"),
-    ) {
-        // Deliberately framed as an overhead, not a speedup: int8 b1 is
-        // expected to be slower than f64 on this box (the win is model
-        // footprint — see EXPERIMENTS.md), so the diff stage should read a
-        // stable ratio here, not noise.
-        eprintln!(
-            "quantized_overhead: int8 b1 vs f64 b1 per-request = {:.2}x \
-             (>= 1 expected; int8 buys footprint, not latency)",
-            int8_b1.median_ns as f64 / f64_b1.median_ns.max(1) as f64
         );
     }
 

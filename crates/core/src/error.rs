@@ -13,6 +13,12 @@ pub enum CoreError {
     Gnn(GnnError),
     /// The pipeline was configured inconsistently.
     InvalidConfig(String),
+    /// The circuit still contains a subcircuit instance; recognition needs
+    /// a flat circuit (`gana_netlist::flatten`).
+    Unflattened {
+        /// Name of the first `X` instance found.
+        instance: String,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -21,6 +27,11 @@ impl fmt::Display for CoreError {
             CoreError::Netlist(e) => write!(f, "netlist error: {e}"),
             CoreError::Gnn(e) => write!(f, "gnn error: {e}"),
             CoreError::InvalidConfig(msg) => write!(f, "invalid pipeline configuration: {msg}"),
+            CoreError::Unflattened { instance } => write!(
+                f,
+                "circuit is not flattened: subcircuit instance {instance} remains \
+                 (flatten the netlist before recognition)"
+            ),
         }
     }
 }
@@ -30,7 +41,7 @@ impl Error for CoreError {
         match self {
             CoreError::Netlist(e) => Some(e),
             CoreError::Gnn(e) => Some(e),
-            CoreError::InvalidConfig(_) => None,
+            CoreError::InvalidConfig(_) | CoreError::Unflattened { .. } => None,
         }
     }
 }

@@ -2,10 +2,10 @@
 
 use crate::hierarchy::{self, HierarchyNode};
 use crate::workspace::Workspace;
-use crate::{post1, post2, Result};
+use crate::{post1, post2, CoreError, Result};
 use gana_gnn::{BasisCache, GcnModel, GraphSample};
 use gana_graph::{CircuitGraph, GraphOptions, VertexId};
-use gana_netlist::{preprocess, Circuit, PreprocessOptions};
+use gana_netlist::{preprocess, Circuit, DeviceKind, PreprocessOptions};
 use gana_par::Parallelism;
 use gana_primitives::{constraints, AnnotationResult, Constraint, PrimitiveLibrary};
 use std::sync::Arc;
@@ -203,25 +203,6 @@ impl Pipeline {
         self.basis_cache.as_ref()
     }
 
-    /// Switches GCN inference to int8-quantized tap weights
-    /// ([`GcnModel::quantize_weights`]): per-output-channel affine codes
-    /// with dequantize-on-accumulate, bounded to half a quantization step
-    /// of divergence per weight. The quantization gate tests assert the
-    /// annotations keep the same argmax across all dataset families.
-    pub fn with_quantized(mut self) -> Pipeline {
-        if !self.model.is_quantized() {
-            let mut model = (*self.model).clone();
-            model.quantize_weights();
-            self.model = Arc::new(model);
-        }
-        self
-    }
-
-    /// Whether inference runs the int8-quantized weights.
-    pub fn is_quantized(&self) -> bool {
-        self.model.is_quantized()
-    }
-
     /// The annotation workspace (scratch buffers + prune/footprint counters).
     pub fn workspace(&self) -> &Arc<Workspace> {
         &self.workspace
@@ -263,12 +244,26 @@ impl Pipeline {
         self.task
     }
 
-    /// Runs only the preprocessing stage (Section II-B folding).
+    /// Runs only the preprocessing stage (Section II-B folding). This is
+    /// the entry point of every recognition path, so it is also where an
+    /// unflattened circuit is refused: recognition works on flat circuits
+    /// only, and accepting an instance would silently drop the devices
+    /// inside it.
     ///
     /// # Errors
     ///
-    /// Propagates preprocessing errors.
+    /// Returns [`CoreError::Unflattened`] if the circuit still contains a
+    /// subcircuit instance, and propagates preprocessing errors.
     pub fn preprocess_only(&self, circuit: &Circuit) -> Result<Circuit> {
+        if let Some(instance) = circuit
+            .devices()
+            .iter()
+            .find(|d| d.kind() == DeviceKind::Instance)
+        {
+            return Err(CoreError::Unflattened {
+                instance: instance.name().to_string(),
+            });
+        }
         let (clean, _) = preprocess(circuit, self.preprocess_options)?;
         Ok(clean)
     }
@@ -322,9 +317,9 @@ impl Pipeline {
         Ok(self.finish(clean, graph, gcn_class))
     }
 
-    /// Runs GCN inference on a prepared sample through the pipeline's
-    /// workspace buffers (byte-identical to
-    /// [`GcnModel::predict_with`] on fresh allocations).
+    /// Runs GCN inference on one prepared sample (the batch of one of
+    /// [`GcnModel::predict_into`]) through the pipeline's workspace
+    /// buffers.
     ///
     /// # Errors
     ///
@@ -332,30 +327,33 @@ impl Pipeline {
     pub fn predict_sample(&self, sample: &GraphSample) -> Result<Vec<usize>> {
         Ok(self
             .workspace
-            .predict(&self.model, &self.parallelism, sample)?)
+            .predict(&self.model, &self.parallelism, &[sample])?)
     }
 
-    /// Runs GCN inference on a whole batch of prepared samples in one
-    /// fused forward pass, returning one prediction vector per sample in
-    /// order. The samples' Laplacians fuse into a block-diagonal operator
-    /// so the batch shares a single Chebyshev sweep per layer
-    /// ([`GcnModel::predict_batch_into`]); results are byte-identical to
-    /// calling [`Pipeline::predict_sample`] per sample. A batch of one
-    /// takes the single-sample path directly, skipping the fusion
-    /// assembly — output is the same either way, so batched and serial
-    /// callers share this one entry point.
+    /// Runs GCN inference on a batch of prepared samples through the
+    /// pipeline's workspace buffers, returning one prediction vector per
+    /// sample in order. Two or more samples share one fused forward pass
+    /// (block-diagonal Laplacians, see [`GcnModel::predict_into`]); each
+    /// sample's predictions are byte-identical to running it alone.
     ///
     /// # Errors
     ///
     /// Propagates model shape errors for any sample in the batch.
     pub fn predict_samples(&self, samples: &[&GraphSample]) -> Result<Vec<Vec<usize>>> {
-        match samples {
-            [] => Ok(Vec::new()),
-            [only] => Ok(vec![self.predict_sample(only)?]),
-            _ => Ok(self
-                .workspace
-                .predict_batch(&self.model, &self.parallelism, samples)?),
+        let mut flat = self
+            .workspace
+            .predict(&self.model, &self.parallelism, samples)?;
+        // Split from the back so the concatenated vector itself becomes the
+        // first sample's: one allocation per sample plus the outer vector.
+        let mut out = Vec::with_capacity(samples.len());
+        for sample in samples.iter().skip(1).rev() {
+            out.push(flat.split_off(flat.len() - sample.vertex_count()));
         }
+        if !samples.is_empty() {
+            out.push(flat);
+        }
+        out.reverse();
+        Ok(out)
     }
 
     /// Runs postprocessing and hierarchy construction on externally
@@ -601,7 +599,7 @@ mod tests {
     }
 
     #[test]
-    fn quantized_and_cached_pipeline_matches_plain_recognition() {
+    fn cached_pipeline_matches_plain_recognition() {
         let circuit = gana_netlist::parse(
             "M0 o1 i1 t gnd! NMOS\nM1 o2 i2 t gnd! NMOS\nM2 t vb gnd! gnd! NMOS\nM3 vb vb gnd! gnd! NMOS\nR1 vdd! vb 10k\n",
         )
@@ -609,17 +607,20 @@ mod tests {
         let plain = tiny_pipeline(Task::OtaBias, &["ota", "bias"]);
         let expected = plain.recognize(&circuit).expect("runs");
         let cache = Arc::new(BasisCache::new(16 << 20));
-        let tuned = tiny_pipeline(Task::OtaBias, &["ota", "bias"])
-            .with_quantized()
-            .with_basis_cache(Arc::clone(&cache));
-        assert!(tuned.is_quantized());
-        for _ in 0..2 {
-            let design = tuned.recognize(&circuit).expect("runs");
+        let cached =
+            tiny_pipeline(Task::OtaBias, &["ota", "bias"]).with_basis_cache(Arc::clone(&cache));
+        let levels = cached.model().config().levels() as u64;
+        for run in 1..=2u64 {
+            let design = cached.recognize(&circuit).expect("runs");
             assert_eq!(design.gcn_class, expected.gcn_class);
             assert_eq!(design.final_label, expected.final_label);
+            let stats = cache.stats();
+            assert_eq!(
+                (stats.misses, stats.hits),
+                (levels, (run - 1) * levels),
+                "first run misses every layer, second hits every layer"
+            );
         }
-        let stats = cache.stats();
-        assert!(stats.hits > 0, "second run should hit: {stats:?}");
     }
 
     #[test]
@@ -652,5 +653,50 @@ mod tests {
             2,
             "M0+M0b merge, Md/Cd dropped"
         );
+    }
+
+    #[test]
+    fn unflattened_circuits_are_refused_not_dropped() {
+        let pipeline = tiny_pipeline(Task::Rf, &["lna", "mixer", "osc"]);
+        let lib = gana_netlist::parse_library(
+            ".SUBCKT INV in out vdd gnd\nM1 out in vdd vdd PMOS\nM2 out in gnd gnd NMOS\n.ENDS\n\
+             X1 a b vdd! gnd! INV\nX2 c d vdd! gnd! INV\n",
+        )
+        .expect("valid");
+        let err = pipeline.recognize(lib.top()).expect_err("instances remain");
+        assert_eq!(
+            err,
+            CoreError::Unflattened {
+                instance: "X1".to_string()
+            }
+        );
+        let flat = gana_netlist::flatten(&lib).expect("flattens");
+        let design = pipeline.recognize(&flat).expect("runs");
+        assert_eq!(design.graph.vertex_count(), 10, "4 devices + 6 nets");
+        let labels: Vec<&str> = design.sub_blocks.iter().map(|b| b.label.as_str()).collect();
+        assert_eq!(labels, ["inv", "inv"]);
+    }
+
+    #[test]
+    fn self_recursive_subcircuit_is_an_error_everywhere() {
+        let pipeline = tiny_pipeline(Task::OtaBias, &["ota", "bias"]);
+        let source = ".SUBCKT LOOP a b\nM1 a b gnd! gnd! NMOS\nX1 a b LOOP\n.ENDS\nX0 p q LOOP\n";
+        let lib = gana_netlist::parse_library(source).expect("parses");
+        assert!(matches!(
+            gana_netlist::flatten(&lib),
+            Err(gana_netlist::NetlistError::RecursiveSubcircuit { .. })
+        ));
+        assert!(matches!(
+            pipeline.recognize(lib.top()),
+            Err(CoreError::Unflattened { .. })
+        ));
+        // A library holding only the definition parses to the subcircuit
+        // body, which still instantiates itself.
+        let body =
+            gana_netlist::parse(&source[..source.find("X0").expect("top card")]).expect("parses");
+        assert!(matches!(
+            pipeline.recognize(&body),
+            Err(CoreError::Unflattened { .. })
+        ));
     }
 }

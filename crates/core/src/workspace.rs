@@ -10,7 +10,7 @@
 //! the requests seen so far.
 //!
 //! Reuse is invisible in the output. Every in-place kernel runs the exact
-//! operation sequence of its allocating twin, the VF2 scratch is reset
+//! operation sequence on fresh or recycled buffers, the VF2 scratch is reset
 //! before each search, and the candidate prefilter only skips templates
 //! that provably have no matches — so annotation through a shared, reused
 //! workspace is byte-identical to the cold path at any thread count (the
@@ -72,53 +72,30 @@ impl Workspace {
         }
     }
 
-    /// Runs GCN inference through the reusable buffers.
+    /// Runs one GCN forward over `samples` through the reusable buffers
+    /// ([`GcnModel::predict_into`]), returning every sample's per-vertex
+    /// predictions concatenated in sample order; a single request is the
+    /// batch of one.
     ///
     /// # Errors
     ///
-    /// Propagates model shape errors, exactly as
-    /// [`GcnModel::predict_with`] would.
+    /// Propagates model shape errors for any sample in the batch.
     pub fn predict(
         &self,
         model: &GcnModel,
         par: &Parallelism,
-        sample: &GraphSample,
+        samples: &[&GraphSample],
     ) -> gana_gnn::Result<Vec<usize>> {
         match self.gnn.try_lock() {
             Ok(mut ws) => {
-                let out = model.predict_into(par, sample, &mut ws);
+                let out = model.predict_into(par, samples, &mut ws);
                 self.high_water_bytes
                     .fetch_max(ws.heap_bytes() as u64, Ordering::Relaxed);
                 out
             }
             // Contended or poisoned: a temporary workspace produces the
             // identical result, just without the reuse win.
-            Err(_) => model.predict_into(par, sample, &mut GnnWorkspace::new()),
-        }
-    }
-
-    /// Runs one fused GCN forward over a whole batch of samples through
-    /// the reusable buffers, returning one prediction vector per sample.
-    /// Byte-identical to calling [`Workspace::predict`] per sample (see
-    /// [`GcnModel::predict_batch_into`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates model shape errors for any sample in the batch.
-    pub fn predict_batch(
-        &self,
-        model: &GcnModel,
-        par: &Parallelism,
-        samples: &[&GraphSample],
-    ) -> gana_gnn::Result<Vec<Vec<usize>>> {
-        match self.gnn.try_lock() {
-            Ok(mut ws) => {
-                let out = model.predict_batch_into(par, samples, &mut ws);
-                self.high_water_bytes
-                    .fetch_max(ws.heap_bytes() as u64, Ordering::Relaxed);
-                out
-            }
-            Err(_) => model.predict_batch_into(par, samples, &mut GnnWorkspace::new()),
+            Err(_) => model.predict_into(par, samples, &mut GnnWorkspace::new()),
         }
     }
 }

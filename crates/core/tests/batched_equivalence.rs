@@ -9,7 +9,7 @@
 
 use gana_core::{Pipeline, Task};
 use gana_datasets::{ota, ota_classes, phased_array, rf, rf_classes, sc_filter};
-use gana_gnn::{Activation, GcnConfig, GcnModel, GnnWorkspace, GraphSample};
+use gana_gnn::{Activation, GcnConfig, GcnModel, GraphSample};
 use gana_netlist::Circuit;
 use gana_primitives::PrimitiveLibrary;
 use proptest::prelude::*;
@@ -45,9 +45,9 @@ fn pipeline(task: Task, names: &[&str]) -> Pipeline {
 /// Prepares every circuit through `pipeline`, then checks that the fused
 /// batch prediction equals the per-sample predictions — for the whole
 /// pool as one batch, for the two batches split at `pivot`, for every
-/// singleton through the fused model path (the pipeline dispatches
-/// singletons to the serial path, so hit the model directly too), and for
-/// a `MAX_BATCH`-wide batch cycling the pool.
+/// sample fused with itself (a singleton runs on its own Laplacians, so
+/// the pair is the smallest fused batch), and for a `MAX_BATCH`-wide batch
+/// cycling the pool.
 fn assert_batched_matches_serial(pipeline: &Pipeline, circuits: &[&Circuit], pivot: usize) {
     let prepared: Vec<GraphSample> = circuits
         .iter()
@@ -68,13 +68,13 @@ fn assert_batched_matches_serial(pipeline: &Pipeline, circuits: &[&Circuit], piv
     split.extend(pipeline.predict_samples(right).expect("predicts"));
     assert_eq!(split, serial, "pool split at {pivot}");
 
-    let mut ws = GnnWorkspace::new();
-    for (s, expected) in refs.iter().zip(&serial) {
-        let fused = pipeline
-            .model()
-            .predict_batch_into(pipeline.parallelism(), &[s], &mut ws)
-            .expect("predicts");
-        assert_eq!(&fused[0], expected, "fused singleton batch");
+    for (&s, expected) in refs.iter().zip(&serial) {
+        let fused = pipeline.predict_samples(&[s, s]).expect("predicts");
+        assert_eq!(
+            fused,
+            [expected.clone(), expected.clone()],
+            "sample fused with itself"
+        );
     }
 
     let cycled: Vec<&GraphSample> = (0..MAX_BATCH).map(|i| refs[i % refs.len()]).collect();

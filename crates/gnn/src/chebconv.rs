@@ -5,7 +5,6 @@
 //! so a forward pass costs `K` sparse–dense products — `O(K·n)` for a
 //! bounded-degree graph, as the paper emphasizes.
 
-use crate::quant::QuantizedMatrix;
 use crate::{GnnError, Result};
 use gana_par::Parallelism;
 use gana_sparse::{CsrMatrix, DenseMatrix};
@@ -77,29 +76,16 @@ impl ChebConv {
         self.out_dim
     }
 
-    /// Computes the Chebyshev basis `[T_0(L̂)X, …, T_{K−1}(L̂)X]`.
+    /// Computes the Chebyshev basis `[T_0(L̂)X, …, T_{K−1}(L̂)X]` into
+    /// reusable buffers: `basis` is extended to `K` matrices (reusing
+    /// existing allocations). The combine step runs the fused
+    /// [`DenseMatrix::scale_axpy`] sweep, bit-identical to `scale_in_place`
+    /// followed by `axpy`.
     ///
     /// The recurrence itself is sequential in `k` (each `T_k` needs
     /// `T_{k−1}`), so the thread budget is spent *inside* each of the `K`
     /// sparse–dense products, tiled by output rows — which is bit-identical
     /// to the serial product at any thread count.
-    fn chebyshev_basis(
-        &self,
-        par: &Parallelism,
-        laplacian: &CsrMatrix,
-        x: &DenseMatrix,
-    ) -> Result<Vec<DenseMatrix>> {
-        let mut basis = Vec::with_capacity(self.filter_order());
-        self.chebyshev_basis_into(par, laplacian, x, &mut basis)?;
-        Ok(basis)
-    }
-
-    /// [`ChebConv::chebyshev_basis`] written into reusable buffers: `basis`
-    /// is extended to `K` matrices (reusing existing allocations) and filled
-    /// with exactly the same operation sequence, so the contents are
-    /// byte-identical to the allocating recurrence. The combine step runs
-    /// the fused [`DenseMatrix::scale_axpy`] sweep, which is bit-identical
-    /// to the historical two-pass `scale_in_place` + `axpy` form.
     pub(crate) fn chebyshev_basis_into(
         &self,
         par: &Parallelism,
@@ -130,8 +116,7 @@ impl ChebConv {
     /// [`ChebConv::forward_into`], split out so callers holding a cached
     /// basis (see [`crate::BasisCache`]) can skip the recurrence entirely.
     /// `basis` may hold more than `K` matrices (a recycled workspace); only
-    /// the first `K` are read. When `quantized` tap weights are supplied
-    /// they replace the f64 weights via dequantize-on-accumulate.
+    /// the first `K` are read.
     ///
     /// # Errors
     ///
@@ -140,25 +125,14 @@ impl ChebConv {
     pub(crate) fn accumulate_from_basis(
         &self,
         basis: &[DenseMatrix],
-        quantized: Option<&[QuantizedMatrix]>,
         term: &mut DenseMatrix,
         y: &mut DenseMatrix,
     ) -> Result<()> {
         let rows = basis.first().map_or(0, DenseMatrix::rows);
         y.resize(rows, self.out_dim);
-        match quantized {
-            Some(taps) => {
-                for (t, q) in basis.iter().zip(taps) {
-                    q.matmul_into(t, term)?;
-                    y.axpy(1.0, term)?;
-                }
-            }
-            None => {
-                for (t, w) in basis.iter().zip(&self.weights) {
-                    t.matmul_into(w, term)?;
-                    y.axpy(1.0, term)?;
-                }
-            }
+        for (t, w) in basis.iter().zip(&self.weights) {
+            t.matmul_into(w, term)?;
+            y.axpy(1.0, term)?;
         }
         for r in 0..y.rows() {
             for (value, b) in y.row_mut(r).iter_mut().zip(&self.bias) {
@@ -168,7 +142,9 @@ impl ChebConv {
         Ok(())
     }
 
-    /// Forward pass. Returns the output and a cache for [`ChebConv::backward`].
+    /// Training forward pass: [`ChebConv::forward_into`] on fresh buffers,
+    /// run serially. Returns the output and a cache (the Chebyshev basis)
+    /// for [`ChebConv::backward`].
     ///
     /// # Errors
     ///
@@ -179,43 +155,25 @@ impl ChebConv {
         laplacian: &CsrMatrix,
         x: &DenseMatrix,
     ) -> Result<(DenseMatrix, ChebConvCache)> {
-        self.forward_with(&Parallelism::serial(), laplacian, x)
-    }
-
-    /// [`ChebConv::forward`] spending the given intra-request thread budget
-    /// on the `K` sparse–dense products. The output is bit-identical to the
-    /// serial forward at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::ShapeMismatch`] if `x` has the wrong number of
-    /// columns or does not match the Laplacian's vertex count.
-    pub fn forward_with(
-        &self,
-        par: &Parallelism,
-        laplacian: &CsrMatrix,
-        x: &DenseMatrix,
-    ) -> Result<(DenseMatrix, ChebConvCache)> {
-        self.check_forward_shapes(laplacian, x)?;
-        let basis = self.chebyshev_basis(par, laplacian, x)?;
-        let mut y = DenseMatrix::zeros(x.rows(), self.out_dim);
-        for (t, w) in basis.iter().zip(&self.weights) {
-            let term = t.matmul(w)?;
-            y.axpy(1.0, &term)?;
-        }
-        for r in 0..y.rows() {
-            for (value, b) in y.row_mut(r).iter_mut().zip(&self.bias) {
-                *value += b;
-            }
-        }
+        let mut basis = Vec::with_capacity(self.filter_order());
+        let mut term = DenseMatrix::default();
+        let mut y = DenseMatrix::default();
+        self.forward_into(
+            &Parallelism::serial(),
+            laplacian,
+            x,
+            &mut basis,
+            &mut term,
+            &mut y,
+        )?;
         Ok((y, ChebConvCache { basis }))
     }
 
-    /// Inference-only [`ChebConv::forward_with`] writing every intermediate
-    /// into caller-owned buffers: the Chebyshev basis into `basis`, the
-    /// per-tap product into `term`, and the layer output into `y`. No cache
-    /// is produced. The operation sequence matches the allocating forward
-    /// exactly, so `y` is byte-identical at any thread count.
+    /// Inference forward pass writing every intermediate into caller-owned
+    /// buffers: the Chebyshev basis into `basis`, the per-tap product into
+    /// `term`, and the layer output into `y`. The thread budget is spent on
+    /// the `K` sparse–dense products; `y` is byte-identical at any thread
+    /// count and whether the buffers are fresh or recycled.
     ///
     /// # Errors
     ///
@@ -230,33 +188,9 @@ impl ChebConv {
         term: &mut DenseMatrix,
         y: &mut DenseMatrix,
     ) -> Result<()> {
-        self.forward_into_quantized(par, laplacian, x, None, basis, term, y)
-    }
-
-    /// [`ChebConv::forward_into`] with optional int8 tap weights: when
-    /// `quantized` is supplied, the tap accumulation dequantizes on the fly
-    /// ([`QuantizedMatrix::matmul_into`]) instead of reading the f64
-    /// weights. The Chebyshev recurrence — the part a
-    /// [`crate::BasisCache`] hit skips — is unaffected by quantization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::ShapeMismatch`] if `x` has the wrong number of
-    /// columns or does not match the Laplacian's vertex count.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn forward_into_quantized(
-        &self,
-        par: &Parallelism,
-        laplacian: &CsrMatrix,
-        x: &DenseMatrix,
-        quantized: Option<&[QuantizedMatrix]>,
-        basis: &mut Vec<DenseMatrix>,
-        term: &mut DenseMatrix,
-        y: &mut DenseMatrix,
-    ) -> Result<()> {
         self.check_forward_shapes(laplacian, x)?;
         self.chebyshev_basis_into(par, laplacian, x, basis)?;
-        self.accumulate_from_basis(basis, quantized, term, y)
+        self.accumulate_from_basis(basis, term, y)
     }
 
     /// The input-shape validation shared by every forward variant.
@@ -428,8 +362,8 @@ mod tests {
         let conv = ChebConv::new(1, 1, 4, &mut r).expect("valid");
         let l = ring_laplacian(5);
         let x = DenseMatrix::from_fn(5, 1, |i, _| (i as f64) - 2.0);
-        let basis = conv
-            .chebyshev_basis(&Parallelism::serial(), &l, &x)
+        let mut basis = Vec::new();
+        conv.chebyshev_basis_into(&Parallelism::serial(), &l, &x, &mut basis)
             .expect("shapes ok");
 
         let ld = l.to_dense();
@@ -510,8 +444,8 @@ mod tests {
         let conv = ChebConv::new(3, 2, 4, &mut r).expect("valid");
         let l = ring_laplacian(6);
         let x = DenseMatrix::from_fn(6, 3, |i, j| 0.7 * (i as f64) - 0.3 * (j as f64));
-        let par = Parallelism::serial();
-        let (fresh, _) = conv.forward_with(&par, &l, &x).expect("shapes ok");
+        let (fresh, _) = conv.forward(&l, &x).expect("shapes ok");
+        let par = Parallelism::new(2);
         // Dirty, wrongly-shaped buffers must not leak into the result.
         let mut basis = vec![DenseMatrix::filled(2, 2, 9.0)];
         let mut term = DenseMatrix::filled(1, 5, -3.0);

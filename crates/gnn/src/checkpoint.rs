@@ -200,7 +200,15 @@ pub fn load(path: impl AsRef<Path>) -> Result<GcnModel> {
 mod tests {
     use super::*;
     use crate::sample::GraphSample;
+    use crate::GnnWorkspace;
     use gana_graph::{CircuitGraph, GraphOptions};
+    use gana_par::Parallelism;
+
+    fn predict(model: &GcnModel, sample: &GraphSample) -> Vec<usize> {
+        model
+            .predict_into(&Parallelism::serial(), &[sample], &mut GnnWorkspace::new())
+            .expect("predicts")
+    }
 
     fn trained_model() -> (GcnModel, GraphSample) {
         let circuit =
@@ -237,10 +245,7 @@ mod tests {
         let text = to_string(&model);
         let restored = from_str(&text).expect("loads");
         assert_eq!(restored.flatten_params(), model.flatten_params());
-        assert_eq!(
-            restored.predict(&sample).expect("predicts"),
-            model.predict(&sample).expect("predicts")
-        );
+        assert_eq!(predict(&restored, &sample), predict(&model, &sample));
     }
 
     #[test]
@@ -281,8 +286,8 @@ mod tests {
         let restored = from_str(&to_string(&model)).expect("loads");
         assert_eq!(restored.batch_norm_stats(), stats_before);
         assert_eq!(
-            restored.predict(&sample).expect("predicts"),
-            model.predict(&sample).expect("predicts"),
+            predict(&restored, &sample),
+            predict(&model, &sample),
             "inference identical incl. batch-norm statistics"
         );
     }

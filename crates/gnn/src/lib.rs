@@ -37,7 +37,6 @@ pub mod loss;
 pub mod metrics;
 mod model;
 mod optimizer;
-mod quant;
 mod sample;
 mod trainer;
 mod workspace;
@@ -53,7 +52,6 @@ pub use error::GnnError;
 pub use gana_sparse::{kernel, Kernel};
 pub use model::{GcnConfig, GcnModel};
 pub use optimizer::{Adam, Optimizer, Sgd};
-pub use quant::QuantizedMatrix;
 pub use sample::GraphSample;
 pub use trainer::{EpochStats, Trainer, TrainerConfig};
 pub use workspace::GnnWorkspace;

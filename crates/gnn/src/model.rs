@@ -16,7 +16,6 @@ use crate::chebconv::{ChebConv, ChebConvCache};
 use crate::dense_layer::DenseLayer;
 use crate::dropout::Dropout;
 use crate::loss::{cross_entropy, softmax, softmax_in_place};
-use crate::quant::QuantizedMatrix;
 use crate::sample::GraphSample;
 use crate::workspace::GnnWorkspace;
 use crate::{GnnError, Result};
@@ -161,10 +160,6 @@ pub struct GcnModel {
     fc2: DenseLayer,
     dropout: Dropout,
     rng: StdRng,
-    /// Int8 quantizations of the conv tap weights, per level and tap.
-    /// `Some` switches every inference path to dequantize-on-accumulate;
-    /// dropped automatically whenever the f64 weights change.
-    quant_convs: Option<Vec<Vec<QuantizedMatrix>>>,
 }
 
 impl GcnModel {
@@ -202,91 +197,7 @@ impl GcnModel {
             fc2,
             dropout,
             rng,
-            quant_convs: None,
         })
-    }
-
-    /// Quantizes every Chebyshev tap weight to int8 (per-output-channel
-    /// affine, see [`QuantizedMatrix`]) and switches all inference paths to
-    /// the quantized accumulation. Returns the worst per-entry
-    /// reconstruction error across all taps — the bounded-divergence value
-    /// callers gate on before trusting the quantized model. The FC head
-    /// stays f64 (the conv taps hold the overwhelming share of the
-    /// parameters).
-    pub fn quantize_weights(&mut self) -> f64 {
-        let mut worst = 0.0f64;
-        let mut quant = Vec::with_capacity(self.convs.len());
-        for conv in &self.convs {
-            let mut taps = Vec::with_capacity(conv.filter_order());
-            for w in conv.weights() {
-                let q = QuantizedMatrix::quantize(w);
-                worst = worst.max(q.max_abs_error(w).expect("same shape by construction"));
-                taps.push(q);
-            }
-            quant.push(taps);
-        }
-        self.quant_convs = Some(quant);
-        worst
-    }
-
-    /// Whether inference currently runs the int8 tap weights.
-    pub fn is_quantized(&self) -> bool {
-        self.quant_convs.is_some()
-    }
-
-    /// Reverts all inference paths to the f64 weights.
-    pub fn clear_quantization(&mut self) {
-        self.quant_convs = None;
-    }
-
-    /// The quantized tap weights, per conv level — `None` when inference
-    /// runs f64 (snapshot encoding reads this).
-    pub fn quantized_convs(&self) -> Option<&[Vec<QuantizedMatrix>]> {
-        self.quant_convs.as_deref()
-    }
-
-    /// Installs previously captured quantized tap weights (snapshot
-    /// decoding), validating every tensor against the conv shapes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::ShapeMismatch`] if the level count, tap count,
-    /// or any tensor shape disagrees with the model.
-    pub fn set_quantized_convs(&mut self, quant: Option<Vec<Vec<QuantizedMatrix>>>) -> Result<()> {
-        if let Some(levels) = &quant {
-            if levels.len() != self.convs.len() {
-                return Err(GnnError::ShapeMismatch(format!(
-                    "{} quantized levels for {} conv layers",
-                    levels.len(),
-                    self.convs.len()
-                )));
-            }
-            for (conv, taps) in self.convs.iter().zip(levels) {
-                if taps.len() != conv.filter_order() {
-                    return Err(GnnError::ShapeMismatch(format!(
-                        "{} quantized taps for filter order {}",
-                        taps.len(),
-                        conv.filter_order()
-                    )));
-                }
-                for q in taps {
-                    if q.shape() != (conv.in_dim(), conv.out_dim()) {
-                        return Err(GnnError::ShapeMismatch(format!(
-                            "quantized tap is {:?}, conv weight is {:?}",
-                            q.shape(),
-                            (conv.in_dim(), conv.out_dim())
-                        )));
-                    }
-                }
-            }
-        }
-        self.quant_convs = quant;
-        Ok(())
-    }
-
-    /// The quantized taps of conv level `l`, when quantization is active.
-    fn quant_for_level(&self, l: usize) -> Option<&[QuantizedMatrix]> {
-        self.quant_convs.as_ref().map(|q| q[l].as_slice())
     }
 
     /// The model configuration.
@@ -319,110 +230,90 @@ impl GcnModel {
         Ok(())
     }
 
-    /// Inference: per-original-vertex class predictions.
+    /// Inference: one fused forward pass over `samples` through the
+    /// reusable buffers of `ws`, returning the predicted class of every
+    /// original vertex of every sample, concatenated in sample order
+    /// (sample `i` owns the next `samples[i].vertex_count()` entries). A
+    /// single request is the batch of one.
+    ///
+    /// **One sample** runs on its own rescaled Laplacians and consults the
+    /// workspace's [`crate::BasisCache`], if one is attached: a hit skips
+    /// the Chebyshev recurrence for that layer (cached bases are keyed by a
+    /// content hash of Laplacian + signal + tap count, so reuse changes no
+    /// bit of the output).
+    ///
+    /// **Several samples** fuse per coarsening level: their Laplacians are
+    /// stacked into one block-diagonal operator
+    /// ([`CsrMatrix::block_diag_into`]) and their padded feature maps are
+    /// stacked vertically, so each Chebyshev tap costs one sparse–dense
+    /// sweep for the whole batch. The fused operator differs per batch
+    /// combination, so batches bypass the basis cache. The fusion is exact:
+    /// every stage of the forward is row-local (spmm rows accumulate only
+    /// their own block's entries; batch-norm inference uses running
+    /// statistics; activation, pooling, FC layers, gather and softmax act
+    /// per row or per row pair), and every sample's padded size is even at
+    /// each pooled level, so stride-2 pooling never pairs rows across a
+    /// block boundary. Each sample's predictions are therefore
+    /// byte-identical to running it alone — the equivalence the
+    /// `batched_equivalence` proptests enforce.
+    ///
+    /// Output is byte-identical at any thread count and whether `ws` is
+    /// fresh or has served requests of other sizes. An empty batch returns
+    /// no predictions.
     ///
     /// # Errors
     ///
-    /// Returns [`GnnError::ShapeMismatch`] if the sample does not match the
-    /// model configuration.
-    pub fn predict(&self, sample: &GraphSample) -> Result<Vec<usize>> {
-        Ok(self.predict_probabilities(sample)?.1)
-    }
-
-    /// [`GcnModel::predict`] spending an intra-request thread budget on the
-    /// Chebyshev sparse matmuls. Bit-identical to [`GcnModel::predict`] at
-    /// any thread count (`gana-par`'s determinism contract).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::ShapeMismatch`] if the sample does not match the
-    /// model configuration.
-    pub fn predict_with(&self, par: &Parallelism, sample: &GraphSample) -> Result<Vec<usize>> {
-        Ok(self.predict_probabilities_with(par, sample)?.1)
-    }
-
-    /// Inference returning `(per-vertex class probabilities, predictions)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::ShapeMismatch`] if the sample does not match the
-    /// model configuration.
-    pub fn predict_probabilities(&self, sample: &GraphSample) -> Result<(DenseMatrix, Vec<usize>)> {
-        self.predict_probabilities_with(&Parallelism::serial(), sample)
-    }
-
-    /// [`GcnModel::predict_probabilities`] spending an intra-request thread
-    /// budget on the Chebyshev sparse matmuls (bit-identical output).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::ShapeMismatch`] if the sample does not match the
-    /// model configuration.
-    pub fn predict_probabilities_with(
-        &self,
-        par: &Parallelism,
-        sample: &GraphSample,
-    ) -> Result<(DenseMatrix, Vec<usize>)> {
-        self.check_sample(sample)?;
-        let mut x = sample.features.clone();
-        let mut basis = Vec::new();
-        let mut term = DenseMatrix::default();
-        for (l, conv) in self.convs.iter().enumerate() {
-            let mut y = DenseMatrix::default();
-            conv.forward_into_quantized(
-                par,
-                sample.coarsening.laplacian(l),
-                &x,
-                self.quant_for_level(l),
-                &mut basis,
-                &mut term,
-                &mut y,
-            )?;
-            let y = if self.config.batch_norm {
-                self.batch_norms[l].forward_eval(&y)?
-            } else {
-                y
-            };
-            let y = self.config.activation.forward(&y);
-            x = max_pool2(&y).0;
-        }
-        let (h, _) = self.fc1.forward(&x)?;
-        let h = self.config.activation.forward(&h);
-        let (logits, _) = self.fc2.forward(&h)?;
-        let clusters: Vec<usize> = (0..sample.vertex_count())
-            .map(|v| sample.coarsening.cluster_of(v))
-            .collect();
-        let vertex_logits = logits.gather_rows(&clusters);
-        let probs = softmax(&vertex_logits);
-        let preds = (0..probs.rows())
-            .map(|r| probs.row_argmax(r).unwrap_or(0))
-            .collect();
-        Ok((probs, preds))
-    }
-
-    /// [`GcnModel::predict_with`] writing every intermediate into a
-    /// reusable [`GnnWorkspace`] instead of allocating. Each `_into` kernel
-    /// runs the same operation sequence as its allocating twin, so the
-    /// predictions are byte-identical to [`GcnModel::predict_with`] at any
-    /// thread count, whether the workspace is fresh or has served requests
-    /// of other sizes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::ShapeMismatch`] if the sample does not match the
+    /// Returns [`GnnError::ShapeMismatch`] if any sample does not match the
     /// model configuration.
     pub fn predict_into(
         &self,
         par: &Parallelism,
-        sample: &GraphSample,
+        samples: &[&GraphSample],
         ws: &mut GnnWorkspace,
     ) -> Result<Vec<usize>> {
-        self.check_sample(sample)?;
-        ws.x.copy_from(&sample.features);
-        let cache = ws.basis_cache.clone();
+        for sample in samples {
+            self.check_sample(sample)?;
+        }
+        let single = match samples {
+            [] => return Ok(Vec::new()),
+            [only] => Some(*only),
+            _ => None,
+        };
+        let levels = self.config.levels();
+        match single {
+            Some(sample) => ws.x.copy_from(&sample.features),
+            None => {
+                // The fused operators go into the workspace's recycled CSR
+                // buffers, so steady-state batches reuse their storage.
+                ws.fused.resize_with(levels, CsrMatrix::default);
+                let mut blocks: Vec<&CsrMatrix> = Vec::with_capacity(samples.len());
+                for (l, fused) in ws.fused.iter_mut().enumerate() {
+                    blocks.clear();
+                    blocks.extend(samples.iter().map(|s| s.coarsening.laplacian(l)));
+                    CsrMatrix::block_diag_into(&blocks, fused);
+                }
+                let total_rows: usize = samples.iter().map(|s| s.features.rows()).sum();
+                let width = self.config.input_dim;
+                ws.x.resize(total_rows, width);
+                let mut offset = 0;
+                for sample in samples {
+                    let len = sample.features.rows() * width;
+                    ws.x.as_mut_slice()[offset..offset + len]
+                        .copy_from_slice(sample.features.as_slice());
+                    offset += len;
+                }
+            }
+        }
+        let cache = if single.is_some() {
+            ws.basis_cache.clone()
+        } else {
+            None
+        };
         for (l, conv) in self.convs.iter().enumerate() {
-            let laplacian = sample.coarsening.laplacian(l);
-            let quant = self.quant_for_level(l);
+            let laplacian = match single {
+                Some(sample) => sample.coarsening.laplacian(l),
+                None => &ws.fused[l],
+            };
             let taps = conv.filter_order();
             // Cached bases were computed from byte-identical inputs (the
             // key is a content hash of Laplacian + signal + tap count), so
@@ -439,14 +330,13 @@ impl GcnModel {
             match hit {
                 Some(basis) => {
                     conv.check_forward_shapes(laplacian, &ws.x)?;
-                    conv.accumulate_from_basis(&basis, quant, &mut ws.term, &mut ws.y)?;
+                    conv.accumulate_from_basis(&basis, &mut ws.term, &mut ws.y)?;
                 }
                 None => {
-                    conv.forward_into_quantized(
+                    conv.forward_into(
                         par,
                         laplacian,
                         &ws.x,
-                        quant,
                         &mut ws.basis,
                         &mut ws.term,
                         &mut ws.y,
@@ -469,100 +359,6 @@ impl GcnModel {
         self.config.activation.forward_in_place(&mut ws.y);
         self.fc2.forward_into(&ws.y, &mut ws.x)?;
         ws.clusters.clear();
-        ws.clusters
-            .extend((0..sample.vertex_count()).map(|v| sample.coarsening.cluster_of(v)));
-        ws.x.gather_rows_into(&ws.clusters, &mut ws.gathered);
-        softmax_in_place(&mut ws.gathered);
-        Ok((0..ws.gathered.rows())
-            .map(|r| ws.gathered.row_argmax(r).unwrap_or(0))
-            .collect())
-    }
-
-    /// Micro-batched [`GcnModel::predict_into`]: fuses `samples` into one
-    /// forward pass and returns one prediction vector per sample, in order.
-    ///
-    /// Per coarsening level the samples' rescaled Laplacians are stacked
-    /// into a single block-diagonal operator
-    /// ([`CsrMatrix::block_diag`]) and their padded feature maps are
-    /// stacked vertically, so each Chebyshev tap costs one fused
-    /// sparse–dense sweep instead of one per sample — the per-call
-    /// overhead (kernel dispatch, buffer administration, per-tap matmul
-    /// ramp-up) is paid once for the whole batch.
-    ///
-    /// The fusion is exact, not approximate: every stage of the forward is
-    /// row-local (spmm rows accumulate only their own block's entries;
-    /// batch-norm inference uses running statistics; activation, pooling,
-    /// FC layers, gather, and softmax act per row or per row pair), and
-    /// every sample's padded size is even at each pooled level, so stride-2
-    /// pooling never pairs rows across a block boundary. Predictions are
-    /// therefore **byte-identical** to calling
-    /// [`GcnModel::predict_into`] per sample — the equivalence the
-    /// `batched_equivalence` proptests enforce.
-    ///
-    /// An empty batch returns no predictions. A batch of one still runs the
-    /// fused path (callers that want to skip the block-diagonal assembly
-    /// for single samples should call [`GcnModel::predict_into`]
-    /// directly — results match either way).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::ShapeMismatch`] if any sample does not match the
-    /// model configuration.
-    pub fn predict_batch_into(
-        &self,
-        par: &Parallelism,
-        samples: &[&GraphSample],
-        ws: &mut GnnWorkspace,
-    ) -> Result<Vec<Vec<usize>>> {
-        if samples.is_empty() {
-            return Ok(Vec::new());
-        }
-        for sample in samples {
-            self.check_sample(sample)?;
-        }
-        let levels = self.config.levels();
-        // Assemble the fused operators into the workspace's recycled CSR
-        // buffers: steady-state batched inference allocates nothing here.
-        ws.fused.resize_with(levels, CsrMatrix::default);
-        let mut blocks: Vec<&CsrMatrix> = Vec::with_capacity(samples.len());
-        for (l, fused) in ws.fused.iter_mut().enumerate() {
-            blocks.clear();
-            blocks.extend(samples.iter().map(|s| s.coarsening.laplacian(l)));
-            CsrMatrix::block_diag_into(&blocks, fused);
-        }
-        let total_rows: usize = samples.iter().map(|s| s.features.rows()).sum();
-        let width = self.config.input_dim;
-        ws.x.resize(total_rows, width);
-        let mut offset = 0;
-        for sample in samples {
-            let len = sample.features.rows() * width;
-            ws.x.as_mut_slice()[offset..offset + len].copy_from_slice(sample.features.as_slice());
-            offset += len;
-        }
-        // The fused block-diagonal operator differs per batch combination,
-        // so batched inference bypasses the basis cache (the single-sample
-        // path is where topology repeats pay off).
-        for (l, conv) in self.convs.iter().enumerate() {
-            conv.forward_into_quantized(
-                par,
-                &ws.fused[l],
-                &ws.x,
-                self.quant_for_level(l),
-                &mut ws.basis,
-                &mut ws.term,
-                &mut ws.y,
-            )?;
-            if self.config.batch_norm {
-                self.batch_norms[l].forward_eval_into(&ws.y, &mut ws.term)?;
-                std::mem::swap(&mut ws.y, &mut ws.term);
-            }
-            self.config.activation.forward_in_place(&mut ws.y);
-            max_pool2_into(&ws.y, &mut ws.x);
-        }
-        self.fc1.forward_into(&ws.x, &mut ws.y)?;
-        self.config.activation.forward_in_place(&mut ws.y);
-        self.fc2.forward_into(&ws.y, &mut ws.x)?;
-        ws.clusters.clear();
         let mut cluster_offset = 0;
         for sample in samples {
             ws.clusters.extend(
@@ -573,18 +369,9 @@ impl GcnModel {
         }
         ws.x.gather_rows_into(&ws.clusters, &mut ws.gathered);
         softmax_in_place(&mut ws.gathered);
-        let mut out = Vec::with_capacity(samples.len());
-        let mut row = 0;
-        for sample in samples {
-            let n = sample.vertex_count();
-            out.push(
-                (row..row + n)
-                    .map(|r| ws.gathered.row_argmax(r).unwrap_or(0))
-                    .collect(),
-            );
-            row += n;
-        }
-        Ok(out)
+        Ok((0..ws.gathered.rows())
+            .map(|r| ws.gathered.row_argmax(r).unwrap_or(0))
+            .collect())
     }
 
     /// One training step: forward, loss, full backward. The caller applies
@@ -596,9 +383,6 @@ impl GcnModel {
     /// [`GnnError::NonFinite`] if the loss or any gradient diverges.
     pub fn train_step(&mut self, sample: &GraphSample) -> Result<StepResult> {
         self.check_sample(sample)?;
-        // Training mutates the f64 weights; stale int8 codes must not
-        // survive into the next inference.
-        self.quant_convs = None;
         let levels = self.config.levels();
 
         // ---- forward ----
@@ -806,8 +590,6 @@ impl GcnModel {
                 self.parameter_count()
             )));
         }
-        // New f64 weights invalidate any existing int8 quantization.
-        self.quant_convs = None;
         let mut cursor = 0;
         let mut take = |n: usize| {
             let slice = &flat[cursor..cursor + n];
@@ -987,11 +769,29 @@ mod tests {
         assert!(GcnModel::new(c).is_err());
     }
 
+    /// Runs one sample through a fresh workspace.
+    fn predict_one(model: &GcnModel, par: &Parallelism, sample: &GraphSample) -> Vec<usize> {
+        model
+            .predict_into(par, &[sample], &mut GnnWorkspace::new())
+            .expect("compatible")
+    }
+
+    fn big_sample() -> GraphSample {
+        let c = parse(
+            "M0 d1 d1 gnd! gnd! NMOS\nM1 d2 d1 gnd! gnd! NMOS\nM2 out in d2 gnd! NMOS\n\
+             M3 o2 in2 d2 gnd! NMOS\nR1 out vdd! 10k\nR2 o2 vdd! 20k\nC1 out gnd! 1p\n",
+        )
+        .expect("valid");
+        let g = CircuitGraph::build(&c, GraphOptions::default());
+        let labels = (0..g.vertex_count()).map(|v| Some(v % 2)).collect();
+        GraphSample::prepare("big", &c, &g, labels, 2, 13).expect("prepares")
+    }
+
     #[test]
     fn predictions_have_one_entry_per_vertex() {
         let model = GcnModel::new(tiny_config()).expect("valid");
         let sample = tiny_sample();
-        let preds = model.predict(&sample).expect("compatible");
+        let preds = predict_one(&model, &Parallelism::serial(), &sample);
         assert_eq!(preds.len(), sample.vertex_count());
         assert!(preds.iter().all(|&p| p < 2));
     }
@@ -1000,61 +800,47 @@ mod tests {
     fn parallel_predict_is_bit_identical_to_serial() {
         let model = GcnModel::new(tiny_config()).expect("valid");
         let sample = tiny_sample();
-        let (serial_probs, serial_preds) = model.predict_probabilities(&sample).expect("ok");
+        let serial = predict_one(&model, &Parallelism::serial(), &sample);
         for threads in [2, 4, 8] {
             let par = Parallelism::new(threads);
-            let (probs, preds) = model.predict_probabilities_with(&par, &sample).expect("ok");
-            assert_eq!(serial_probs, probs, "threads={threads}");
-            assert_eq!(serial_preds, preds, "threads={threads}");
+            assert_eq!(
+                predict_one(&model, &par, &sample),
+                serial,
+                "threads={threads}"
+            );
         }
     }
 
     #[test]
-    fn predict_into_matches_predict_across_reuse_and_sizes() {
+    fn reused_workspace_matches_fresh_across_sizes() {
         let mut config = tiny_config();
         config.batch_norm = true;
         let model = GcnModel::new(config).expect("valid");
         let small = tiny_sample();
-        let big = {
-            let c = parse(
-                "M0 d1 d1 gnd! gnd! NMOS\nM1 d2 d1 gnd! gnd! NMOS\nM2 out in d2 gnd! NMOS\n\
-                 M3 o2 in2 d2 gnd! NMOS\nR1 out vdd! 10k\nR2 o2 vdd! 20k\nC1 out gnd! 1p\n",
-            )
-            .expect("valid");
-            let g = CircuitGraph::build(&c, GraphOptions::default());
-            let labels = (0..g.vertex_count()).map(|v| Some(v % 2)).collect();
-            GraphSample::prepare("big", &c, &g, labels, 2, 13).expect("prepares")
-        };
+        let big = big_sample();
         let par = Parallelism::serial();
         let mut ws = GnnWorkspace::new();
-        // Grow, shrink, grow again through one workspace; every run must
-        // match the allocating path exactly.
-        for sample in [&small, &big, &small, &big] {
-            let fresh = model.predict_with(&par, sample).expect("ok");
-            let reused = model.predict_into(&par, sample, &mut ws).expect("ok");
+        // Grow, shrink, grow again through one workspace — singles and
+        // batches interleaved; every run must match a fresh workspace.
+        let batches: [&[&GraphSample]; 5] = [&[&small], &[&big, &small], &[&small], &[&big], &[]];
+        for batch in batches {
+            let fresh = model
+                .predict_into(&par, batch, &mut GnnWorkspace::new())
+                .expect("ok");
+            let reused = model.predict_into(&par, batch, &mut ws).expect("ok");
             assert_eq!(reused, fresh);
         }
         assert!(ws.heap_bytes() > 0);
     }
 
     #[test]
-    fn predict_batch_into_matches_per_sample_predict_into() {
+    fn batched_predictions_match_per_sample_runs() {
         let mut config = tiny_config();
         config.batch_norm = true;
         let model = GcnModel::new(config).expect("valid");
         let small = tiny_sample();
-        let big = {
-            let c = parse(
-                "M0 d1 d1 gnd! gnd! NMOS\nM1 d2 d1 gnd! gnd! NMOS\nM2 out in d2 gnd! NMOS\n\
-                 M3 o2 in2 d2 gnd! NMOS\nR1 out vdd! 10k\nR2 o2 vdd! 20k\nC1 out gnd! 1p\n",
-            )
-            .expect("valid");
-            let g = CircuitGraph::build(&c, GraphOptions::default());
-            let labels = (0..g.vertex_count()).map(|v| Some(v % 2)).collect();
-            GraphSample::prepare("big", &c, &g, labels, 2, 13).expect("prepares")
-        };
+        let big = big_sample();
         let par = Parallelism::serial();
-        let mut serial_ws = GnnWorkspace::new();
         let mut batch_ws = GnnWorkspace::new();
         // Mixed-size batches, a singleton, repeats of one sample, and the
         // empty batch, all through one recycled workspace.
@@ -1066,16 +852,12 @@ mod tests {
             vec![],
         ];
         for batch in batches {
-            let fused = model
-                .predict_batch_into(&par, &batch, &mut batch_ws)
-                .expect("ok");
-            assert_eq!(fused.len(), batch.len());
-            for (sample, preds) in batch.iter().zip(&fused) {
-                let expected = model
-                    .predict_into(&par, sample, &mut serial_ws)
-                    .expect("ok");
-                assert_eq!(preds, &expected);
-            }
+            let fused = model.predict_into(&par, &batch, &mut batch_ws).expect("ok");
+            let singles: Vec<usize> = batch
+                .iter()
+                .flat_map(|sample| predict_one(&model, &par, sample))
+                .collect();
+            assert_eq!(fused, singles);
         }
     }
 
@@ -1179,71 +961,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_predictions_agree_across_all_inference_paths() {
-        let mut config = tiny_config();
-        config.batch_norm = true;
-        let mut model = GcnModel::new(config).expect("valid");
-        let sample = tiny_sample();
-        let f64_preds = model.predict(&sample).expect("ok");
-        let worst = model.quantize_weights();
-        assert!(model.is_quantized());
-        assert!(worst.is_finite() && worst >= 0.0);
-        let par = Parallelism::serial();
-        let allocating = model.predict(&sample).expect("ok");
-        let mut ws = GnnWorkspace::new();
-        let into = model.predict_into(&par, &sample, &mut ws).expect("ok");
-        let batched = model
-            .predict_batch_into(&par, &[&sample], &mut ws)
-            .expect("ok");
-        assert_eq!(allocating, into, "quantized paths disagree");
-        assert_eq!(allocating, batched[0], "batched quantized path disagrees");
-        // Same argmax as f64 on this well-separated toy sample.
-        assert_eq!(allocating, f64_preds, "quantization flipped an argmax");
-        model.clear_quantization();
-        assert_eq!(model.predict(&sample).expect("ok"), f64_preds);
-    }
-
-    #[test]
-    fn weight_mutation_drops_quantization() {
-        let mut model = GcnModel::new(tiny_config()).expect("valid");
-        model.quantize_weights();
-        let params = model.flatten_params();
-        model.apply_flat_params(&params).expect("same length");
-        assert!(
-            !model.is_quantized(),
-            "apply_flat_params must invalidate int8 codes"
-        );
-        model.quantize_weights();
-        model.train_step(&tiny_sample()).expect("step");
-        assert!(!model.is_quantized(), "train_step must invalidate");
-    }
-
-    #[test]
-    fn set_quantized_convs_validates_shapes() {
-        let mut model = GcnModel::new(tiny_config()).expect("valid");
-        model.quantize_weights();
-        let quant: Vec<Vec<crate::QuantizedMatrix>> =
-            model.quantized_convs().expect("quantized").to_vec();
-        model.clear_quantization();
-        model
-            .set_quantized_convs(Some(quant.clone()))
-            .expect("round trip");
-        assert!(model.is_quantized());
-        assert!(
-            model
-                .set_quantized_convs(Some(quant[..1].to_vec()))
-                .is_err(),
-            "level count mismatch must be rejected"
-        );
-        let mut short = quant;
-        short[0].pop();
-        assert!(
-            model.set_quantized_convs(Some(short)).is_err(),
-            "tap count mismatch must be rejected"
-        );
-    }
-
-    #[test]
     fn basis_cache_hit_is_byte_identical_and_counted() {
         use crate::BasisCache;
         let mut config = tiny_config();
@@ -1251,22 +968,28 @@ mod tests {
         let model = GcnModel::new(config).expect("valid");
         let sample = tiny_sample();
         let par = Parallelism::serial();
-        let mut plain_ws = GnnWorkspace::new();
-        let expected = model
-            .predict_into(&par, &sample, &mut plain_ws)
-            .expect("ok");
+        let expected = predict_one(&model, &par, &sample);
         let cache = Arc::new(BasisCache::new(16 << 20));
         let mut ws = GnnWorkspace::new();
         ws.set_basis_cache(Some(Arc::clone(&cache)));
-        let cold = model.predict_into(&par, &sample, &mut ws).expect("ok");
+        let cold = model.predict_into(&par, &[&sample], &mut ws).expect("ok");
         let stats = cache.stats();
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.misses as usize, model.config().levels());
-        let warm = model.predict_into(&par, &sample, &mut ws).expect("ok");
+        let warm = model.predict_into(&par, &[&sample], &mut ws).expect("ok");
         let stats = cache.stats();
         assert_eq!(stats.hits as usize, model.config().levels());
         assert_eq!(cold, expected, "cold cached run diverged");
         assert_eq!(warm, expected, "warm cached run diverged");
+        // Batches bypass the cache.
+        model
+            .predict_into(&par, &[&sample, &sample], &mut ws)
+            .expect("ok");
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hits + stats.misses) as usize,
+            2 * model.config().levels()
+        );
     }
 
     #[test]
@@ -1277,7 +1000,9 @@ mod tests {
         let labels = vec![Some(0); g.vertex_count()];
         let sample = GraphSample::prepare("bad", &c, &g, labels, 1, 0).expect("prepares");
         assert!(
-            model.predict(&sample).is_err(),
+            model
+                .predict_into(&Parallelism::serial(), &[&sample], &mut GnnWorkspace::new())
+                .is_err(),
             "model pools 2 levels, sample has 1"
         );
     }

@@ -5,7 +5,9 @@ use crate::metrics::accuracy;
 use crate::model::{GcnConfig, GcnModel};
 use crate::optimizer::{Adam, Optimizer};
 use crate::sample::GraphSample;
+use crate::workspace::GnnWorkspace;
 use crate::{GnnError, Result};
+use gana_par::Parallelism;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -166,8 +168,10 @@ impl Trainer {
         }
         let mut correct = 0usize;
         let mut labeled = 0usize;
+        let par = Parallelism::serial();
+        let mut ws = GnnWorkspace::new();
         for sample in samples {
-            let preds = self.model.predict(sample)?;
+            let preds = self.model.predict_into(&par, &[sample], &mut ws)?;
             for (p, l) in preds.iter().zip(&sample.labels) {
                 if let Some(y) = l {
                     labeled += 1;
@@ -190,9 +194,14 @@ impl Trainer {
     ///
     /// Propagates prediction errors.
     pub fn per_sample_accuracy(&self, samples: &[&GraphSample]) -> Result<Vec<f64>> {
+        let par = Parallelism::serial();
+        let mut ws = GnnWorkspace::new();
         samples
             .iter()
-            .map(|s| Ok(accuracy(&self.model.predict(s)?, &s.labels)))
+            .map(|s| {
+                let preds = self.model.predict_into(&par, &[s], &mut ws)?;
+                Ok(accuracy(&preds, &s.labels))
+            })
             .collect()
     }
 

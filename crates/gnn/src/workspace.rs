@@ -17,9 +17,9 @@ use std::sync::Arc;
 ///
 /// A workspace belongs to exactly one caller at a time (it is `&mut`
 /// through the forward pass); share across threads by giving each worker
-/// its own. Reuse never changes results: every `_into` kernel runs the
-/// same operation sequence as its allocating twin, so outputs are
-/// byte-identical whether the buffers are fresh or recycled.
+/// its own. Reuse never changes results: every `_into` kernel resizes and
+/// overwrites its output, so outputs are byte-identical whether the
+/// buffers are fresh or recycled.
 #[derive(Debug, Default)]
 pub struct GnnWorkspace {
     /// Current feature map (conv input / pooled output / final logits).
@@ -36,8 +36,7 @@ pub struct GnnWorkspace {
     /// Vertex-to-cluster index list for the gather.
     pub(crate) clusters: Vec<usize>,
     /// Fused block-diagonal Laplacians, one per coarsening level, reused
-    /// across batched forward passes
-    /// ([`crate::GcnModel::predict_batch_into`]).
+    /// across forward passes over batches of two or more samples.
     pub(crate) fused: Vec<CsrMatrix>,
     /// Optional shared cache of Chebyshev bases, keyed by operator/signal
     /// content. `None` (the default) computes every basis from scratch.

@@ -52,6 +52,9 @@ pub enum PersistError {
         /// Section kind tag that was expected.
         kind: u16,
     },
+    /// A model section carries int8 quantized weights, which this build
+    /// no longer serves; re-save the snapshot from its checkpoint.
+    QuantizedWeights,
     /// The bytes decoded, but the decoded values are inconsistent
     /// (invalid enum tag, failed re-derivation check, rejected matrix…).
     Malformed(String),
@@ -84,6 +87,11 @@ impl fmt::Display for PersistError {
             PersistError::MissingSection { kind } => {
                 write!(f, "snapshot is missing required section kind {kind}")
             }
+            PersistError::QuantizedWeights => write!(
+                f,
+                "snapshot holds int8 quantized GCN weights, which this build does not serve; \
+                 re-save it from its checkpoint (`gana snapshot save --model FILE`)"
+            ),
             PersistError::Malformed(msg) => write!(f, "malformed snapshot: {msg}"),
         }
     }

@@ -14,7 +14,7 @@
 use crate::error::{PersistError, Result};
 use crate::wire::{Reader, Writer};
 use gana_core::Task;
-use gana_gnn::{Activation, GcnConfig, GcnModel, QuantizedMatrix};
+use gana_gnn::{Activation, GcnConfig, GcnModel};
 use gana_incremental::CachedBlock;
 use gana_netlist::DeviceKind;
 use gana_primitives::{
@@ -36,11 +36,12 @@ pub const SECTION_CSR: u16 = 5;
 ///
 /// Version history:
 /// * **1** — initial format.
-/// * **2** — model sections may carry an int8 quantized-weight block after
-///   the batch-norm statistics (presence byte + per-level per-tap tensors).
-///   Version-1 model payloads (no trailing block) still decode — the reader
-///   treats an exhausted payload after the batch-norm stats as "not
-///   quantized" — but re-encoding them produces version-2 bytes.
+/// * **2** — model sections end with a presence byte after the batch-norm
+///   statistics. Builds that served int8 weights wrote `1` followed by the
+///   quantized tensors; this build always writes `0` and rejects any other
+///   value with [`PersistError::QuantizedWeights`]. Version-1 model
+///   payloads (no presence byte) still decode, but re-encoding them
+///   produces version-2 bytes.
 pub const SECTION_VERSION: u16 = 2;
 
 /// Human-readable name for a section kind tag (for `snapshot inspect`).
@@ -163,9 +164,8 @@ fn task_from_tag(tag: u8) -> Result<Task> {
 }
 
 /// Encodes a model section: task, class names, hyperparameters, flat
-/// parameter vector, batch-norm running statistics, and — when the model
-/// serves int8 weights — the actual quantized tensors, so a warm restart
-/// resumes quantized inference without re-deriving the codes.
+/// parameter vector, batch-norm running statistics, and a `0` presence
+/// byte (no quantized-weight block; see [`SECTION_VERSION`]).
 pub fn encode_model(task: Task, class_names: &[String], model: &GcnModel) -> Vec<u8> {
     let cfg = model.config();
     let mut w = Writer::new();
@@ -188,30 +188,7 @@ pub fn encode_model(task: Task, class_names: &[String], model: &GcnModel) -> Vec
         w.put_f64_list(mean);
         w.put_f64_list(var);
     }
-    match model.quantized_convs() {
-        None => w.put_u8(0),
-        Some(levels) => {
-            w.put_u8(1);
-            w.put_u32(levels.len() as u32);
-            for taps in levels {
-                w.put_u32(taps.len() as u32);
-                for q in taps {
-                    let (rows, cols) = q.shape();
-                    w.put_usize(rows);
-                    w.put_usize(cols);
-                    w.put_u32(q.codes().len() as u32);
-                    for &code in q.codes() {
-                        w.put_u8(code as u8);
-                    }
-                    w.put_f64_list(q.scales());
-                    w.put_u32(q.zero_points().len() as u32);
-                    for &z in q.zero_points() {
-                        w.put_u32(z as u32);
-                    }
-                }
-            }
-        }
-    }
+    w.put_u8(0);
     w.into_bytes()
 }
 
@@ -241,43 +218,14 @@ pub fn decode_model(bytes: &[u8]) -> Result<(Task, Vec<String>, GcnModel)> {
         let var = r.get_f64_list()?;
         bn.push((mean, var));
     }
-    // Version-1 payloads end here; version 2 appends the quantized block.
-    let quant = if r.is_empty() {
-        None
-    } else if r.get_u8()? == 0 {
-        r.expect_end()?;
-        None
-    } else {
-        let level_count = r.get_count(4)?;
-        let mut levels = Vec::with_capacity(level_count);
-        for _ in 0..level_count {
-            let tap_count = r.get_count(17)?;
-            let mut taps = Vec::with_capacity(tap_count);
-            for _ in 0..tap_count {
-                let rows = r.get_usize()?;
-                let cols = r.get_usize()?;
-                let code_count = r.get_count(1)?;
-                let mut codes = Vec::with_capacity(code_count);
-                for _ in 0..code_count {
-                    codes.push(r.get_u8()? as i8);
-                }
-                let scales = r.get_f64_list()?;
-                let zero_count = r.get_count(4)?;
-                let mut zeros = Vec::with_capacity(zero_count);
-                for _ in 0..zero_count {
-                    zeros.push(r.get_u32()? as i32);
-                }
-                taps.push(
-                    QuantizedMatrix::from_parts(rows, cols, codes, scales, zeros).map_err(|e| {
-                        PersistError::Malformed(format!("rejected quantized tensor: {e}"))
-                    })?,
-                );
-            }
-            levels.push(taps);
+    // Version-1 payloads end here; version 2 appends a presence byte that
+    // only int8-serving builds ever set.
+    if !r.is_empty() {
+        if r.get_u8()? != 0 {
+            return Err(PersistError::QuantizedWeights);
         }
         r.expect_end()?;
-        Some(levels)
-    };
+    }
     let mut model = GcnModel::new(config)
         .map_err(|e| PersistError::Malformed(format!("rejected model config: {e}")))?;
     model
@@ -288,11 +236,6 @@ pub fn decode_model(bytes: &[u8]) -> Result<(Task, Vec<String>, GcnModel)> {
             .set_batch_norm_stats(&bn)
             .map_err(|e| PersistError::Malformed(format!("rejected batch-norm stats: {e}")))?;
     }
-    // Installed last: parameter restore intentionally invalidates any
-    // quantization, and the setter re-validates every tensor shape.
-    model
-        .set_quantized_convs(quant)
-        .map_err(|e| PersistError::Malformed(format!("rejected quantized weights: {e}")))?;
     Ok((task, class_names, model))
 }
 
@@ -604,81 +547,58 @@ mod tests {
         assert_eq!(encode_cache_entries(&back), bytes);
     }
 
-    #[test]
-    fn quantized_model_round_trips_exact_codes() {
-        let mut model = GcnModel::new(GcnConfig {
-            conv_channels: vec![4, 4],
-            filter_order: 3,
+    fn small_model() -> GcnModel {
+        GcnModel::new(GcnConfig {
+            conv_channels: vec![4],
+            filter_order: 2,
             fc_dim: 8,
             num_classes: 2,
             dropout: 0.0,
             batch_norm: false,
             ..GcnConfig::default()
         })
-        .unwrap();
-        model.quantize_weights();
-        let bytes = encode_model(Task::OtaBias, &["ota".into(), "bias".into()], &model);
-        let (task, names, back) = decode_model(&bytes).unwrap();
-        assert_eq!(task, Task::OtaBias);
-        assert_eq!(names, vec!["ota".to_string(), "bias".to_string()]);
-        assert!(back.is_quantized());
-        assert_eq!(back.quantized_convs(), model.quantized_convs());
-        assert_eq!(encode_model(task, &names, &back), bytes);
+        .unwrap()
     }
 
     #[test]
     fn unquantized_and_v1_model_payloads_decode_unquantized() {
-        let model = GcnModel::new(GcnConfig {
-            conv_channels: vec![4],
-            filter_order: 2,
-            fc_dim: 8,
-            num_classes: 2,
-            dropout: 0.0,
-            batch_norm: false,
-            ..GcnConfig::default()
-        })
-        .unwrap();
+        let model = small_model();
         let bytes = encode_model(Task::Rf, &["lna".into()], &model);
+        assert_eq!(bytes.last(), Some(&0), "presence byte is always 0");
         let (_, _, back) = decode_model(&bytes).unwrap();
-        assert!(!back.is_quantized());
+        assert_eq!(back.flatten_params(), model.flatten_params());
         // A version-1 payload is the same encoding minus the trailing
-        // presence byte; it must decode as an unquantized model.
+        // presence byte.
         let v1 = &bytes[..bytes.len() - 1];
         let (_, _, old) = decode_model(v1).unwrap();
-        assert!(!old.is_quantized());
         assert_eq!(old.flatten_params(), back.flatten_params());
+        assert_eq!(encode_model(Task::Rf, &["lna".into()], &old), bytes);
     }
 
     #[test]
-    fn quantized_block_shape_lies_rejected() {
-        let mut model = GcnModel::new(GcnConfig {
-            conv_channels: vec![4],
-            filter_order: 2,
-            fc_dim: 8,
-            num_classes: 2,
-            dropout: 0.0,
-            batch_norm: false,
-            ..GcnConfig::default()
-        })
-        .unwrap();
-        model.quantize_weights();
-        let bytes = encode_model(Task::OtaBias, &["a".into(), "b".into()], &model);
-        // Find the presence byte (value 1) that starts the quantized block:
-        // it sits right after the batch-norm count (0 layers here), which
-        // is the last 4 bytes before the block. Corrupt the level count.
-        let block_start = {
-            // Re-encode without quantization to find the prefix length.
-            let mut plain = model.clone();
-            plain.clear_quantization();
-            encode_model(Task::OtaBias, &["a".into(), "b".into()], &plain).len() - 1
-        };
-        let mut evil = bytes.clone();
-        assert_eq!(evil[block_start], 1, "presence byte located");
-        evil[block_start + 1..block_start + 5].copy_from_slice(&9u32.to_le_bytes());
-        assert!(matches!(
-            decode_model(&evil),
-            Err(PersistError::Malformed(_) | PersistError::Truncated { .. })
-        ));
+    fn quantized_model_payloads_are_rejected() {
+        let bytes = encode_model(Task::OtaBias, &["a".into(), "b".into()], &small_model());
+        let presence = bytes.len() - 1;
+        for flag in [1u8, 2] {
+            // A hand-built payload with a nonzero presence byte, once bare
+            // and once followed by a (made-up) level count.
+            let mut evil = bytes.clone();
+            evil[presence] = flag;
+            let mut with_block = evil.clone();
+            with_block.extend_from_slice(&1u32.to_le_bytes());
+            for payload in [evil, with_block] {
+                let err = decode_model(&payload).unwrap_err();
+                assert!(
+                    matches!(err, PersistError::QuantizedWeights),
+                    "presence byte {flag}: {err}"
+                );
+                assert!(err.to_string().contains("re-save"), "{err}");
+            }
+        }
+        // Trailing bytes after a 0 presence byte stay malformed.
+        let mut trailing = bytes;
+        trailing.push(7);
+        assert!(decode_model(&trailing).is_err());
     }
 
     #[test]

@@ -89,9 +89,6 @@ pub struct EngineConfig {
     /// the key is a content hash of the Laplacian, input features, and tap
     /// count — so the knob trades memory for latency only.
     pub basis_cache_bytes: usize,
-    /// When true, every registered pipeline serves from int8-quantized GCN
-    /// weights (per-output-channel affine, dequantize-on-accumulate).
-    pub quantized: bool,
 }
 
 /// Default byte budget of the shared Chebyshev basis cache (32 MiB).
@@ -112,7 +109,6 @@ impl Default for EngineConfig {
             batch_window_us: 0,
             batch_window_auto: false,
             basis_cache_bytes: DEFAULT_BASIS_CACHE_BYTES,
-            quantized: false,
         }
     }
 }
@@ -501,15 +497,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Serves every registered pipeline from int8-quantized GCN weights.
-    /// Predictions may differ from f64 within the per-channel quantization
-    /// error bound; callers gate this on an accuracy check (see
-    /// `gana serve --quantized`).
-    pub fn quantized(mut self, quantized: bool) -> EngineBuilder {
-        self.config.quantized = quantized;
-        self
-    }
-
     /// Forces the spmm/axpy kernel variant for this process instead of the
     /// startup CPU-feature detection (equivalent to setting `GANA_KERNEL`).
     /// Process-global: the dispatcher is shared by everything in-process,
@@ -532,18 +519,13 @@ impl EngineBuilder {
             .then(|| Arc::new(BasisCache::new(self.config.basis_cache_bytes)));
         // Clone the shared budget into every registered pipeline: clones
         // share one gauge, so stats aggregate across all workers. The same
-        // pass applies the engine-wide inference options: one shared basis
-        // cache across all pipelines and workers, and the quantized weight
-        // path when configured.
-        let quantized = self.config.quantized;
+        // pass attaches one shared basis cache across all pipelines and
+        // workers.
         let pipelines: Vec<(Task, Pipeline)> = self
             .pipelines
             .into_iter()
             .map(|(task, pipeline)| {
                 let mut pipeline = pipeline.with_parallelism(intra.clone());
-                if quantized {
-                    pipeline = pipeline.with_quantized();
-                }
                 if let Some(cache) = &basis_cache {
                     pipeline = pipeline.with_basis_cache(Arc::clone(cache));
                 }
@@ -1871,7 +1853,7 @@ mod tests {
     }
 
     #[test]
-    fn quantized_engine_with_basis_cache_matches_plain_and_reports_stats() {
+    fn engine_with_basis_cache_matches_plain_and_reports_stats() {
         let plain = Engine::builder()
             .pipeline(tiny_pipeline(Task::OtaBias))
             .workers(1)
@@ -1892,7 +1874,6 @@ mod tests {
             .pipeline(tiny_pipeline(Task::OtaBias))
             .workers(1)
             .result_cache_capacity(0)
-            .quantized(true)
             .basis_cache_bytes(8 << 20)
             .build();
         for run in 0..2 {
@@ -1903,7 +1884,7 @@ mod tests {
                 .expect("annotates");
             assert_eq!(
                 annotation.device_labels, reference.device_labels,
-                "quantized + cached labels match f64 (run {run})"
+                "cached labels match uncached (run {run})"
             );
         }
         let stats = engine.stats();

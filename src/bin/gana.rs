@@ -68,7 +68,7 @@ fn print_usage() {
          gana annotate FILE --model FILE --task ota|rf [--baseline FILE] [--export FILE] [--svg FILE] [--dot FILE]\n  \
          gana inspect  FILE\n  \
          gana generate --kind ota|rf|sc-filter|phased-array [--seed N] [--out FILE]\n  \
-         gana serve    --model FILE --task ota|rf [--addr HOST:PORT] [--workers N] [--queue N] [--stats-secs N] [--max-batch N] [--batch-window-us N|auto] [--quantized] [--basis-cache-mb N] [--snapshot-dir DIR] [--snapshot-secs N] [--pid-file FILE]\n  \
+         gana serve    --model FILE --task ota|rf [--addr HOST:PORT] [--workers N] [--queue N] [--stats-secs N] [--max-batch N] [--batch-window-us N|auto] [--basis-cache-mb N] [--snapshot-dir DIR] [--snapshot-secs N] [--pid-file FILE]\n  \
          gana shard    --snapshot-root DIR [--shards N] [--addr HOST:PORT] [--seed-snapshot SNAP | --model FILE --task ota|rf] [--workers N] [--queue N] [--max-batch N] [--batch-window-us N|auto]\n  \
          gana submit   FILE --task ota|rf [--addr HOST:PORT] [--deadline-ms N] [--export FILE] [--binary]\n  \
          gana loadgen  --addr HOST:PORT [--rate RPS] [--duration-s N] [--connections N] [--deadline-ms N|none] [--seed N] [--skew S] [--session-frac F] [--batch-frac F] [--batch-size N] [--families a,b,..] [--cached] [--text]\n  \
@@ -319,8 +319,7 @@ const SNAPSHOT_FILE: &str = "engine.gsnap";
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use gana::serve::{server, Engine};
 
-    let (args, quantized) = extract_bool_flag(args, "quantized");
-    let (_, flags) = parse_flags(&args)?;
+    let (_, flags) = parse_flags(args)?;
     let addr = flags.get("addr").copied().unwrap_or("127.0.0.1:7878");
     let workers: usize = numeric(
         &flags,
@@ -344,11 +343,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .workers(workers)
         .queue_capacity(queue)
         .max_batch(max_batch)
-        .quantized(quantized)
         .basis_cache_bytes(basis_cache_mb << 20);
-    if quantized {
-        println!("serving from int8-quantized GCN weights (per-channel affine)");
-    }
     // `auto` sizes the gather window from the live arrival-gap and
     // service-time EMAs instead of a fixed number.
     builder = match flags.get("batch-window-us").copied() {
